@@ -1,7 +1,7 @@
 """Ablation G: streaming KDV updates vs batch recomputation.
 
 The deployed systems (KDV-Explorer, the live COVID maps) refresh their
-heatmaps as events arrive/expire.  The streaming accumulator charges one
+heatmaps as events arrive/expire.  The maintained surface charges one
 kernel patch per *changed* point; a batch recompute charges every point.
 This ablation slides a window over the crime workload and compares the
 per-refresh cost, verifying the streamed surface matches the batch one.
@@ -14,7 +14,8 @@ import json
 import numpy as np
 import pytest
 
-from repro.core.kdv import KDVAccumulator, KDVProblem, kde_gridcut
+from repro.core.kdv import KDVProblem, kde_gridcut
+from repro.stream import StreamingKDV
 
 from _util import RESULTS_DIR, record
 
@@ -31,19 +32,19 @@ def stream(crime_large):
 
 
 def test_streaming_updates(benchmark, stream, crime_large):
-    acc = KDVAccumulator(crime_large.bbox, SIZE, BANDWIDTH)
+    acc = StreamingKDV(crime_large.bbox, SIZE, BANDWIDTH)
     acc.add(stream[:WINDOW])
     state = {"lo": 0, "hi": WINDOW}
 
     def refresh():
         lo, hi = state["lo"], state["hi"]
         if hi + STEP > stream.shape[0]:
-            return acc.grid()
+            return acc.snapshot()
         acc.add(stream[hi:hi + STEP])
         acc.remove(stream[lo:lo + STEP])
         state["lo"] = lo + STEP
         state["hi"] = hi + STEP
-        return acc.grid()
+        return acc.snapshot()
 
     grid = benchmark.pedantic(refresh, rounds=8, iterations=1)
     assert grid.max > 0
@@ -54,7 +55,7 @@ def test_streaming_updates(benchmark, stream, crime_large):
     batch = kde_gridcut(
         KDVProblem(stream[lo:hi], crime_large.bbox, SIZE, BANDWIDTH, "quartic")
     )
-    assert acc.grid().max_abs_difference(batch) < 1e-7 * max(batch.max, 1.0)
+    assert acc.snapshot().max_abs_difference(batch) < 1e-7 * max(batch.max, 1.0)
 
 
 def test_batch_recompute(benchmark, stream, crime_large):

@@ -26,7 +26,7 @@ import pytest
 
 import repro
 from repro.core.autocorrelation import local_gi_star
-from repro.core.kdv import KDVAccumulator, KDVProblem, kde_gridcut
+from repro.core.kdv import KDVProblem, kde_gridcut
 from repro.core.kfunction import ripley_k
 from repro.data import hawkes_stream
 from repro.stream import (
@@ -84,9 +84,9 @@ def test_delta_refresh(benchmark, hawkes_feed):
     # on the final refreshed window.
     wpts = engine.window.points
     kdv = engine.analytics["kdv"]
-    fresh = KDVAccumulator(BBOX, SIZE, BANDWIDTH).add(wpts)
-    drift = np.abs(kdv.accumulator.surface(0) - fresh.surface(0)).max()
-    assert drift <= kdv.accumulator.drift_tolerance
+    fresh = StreamingKDV(BBOX, SIZE, BANDWIDTH).add(wpts)
+    drift = np.abs(kdv.surface(0) - fresh.surface(0)).max()
+    assert drift <= kdv.drift_tolerance
 
     hotspot = engine.analytics["hotspot"]
     batch_g = local_gi_star(hotspot.bin(wpts), hotspot.weights)
@@ -104,8 +104,8 @@ def test_delta_refresh(benchmark, hawkes_feed):
     # one 4096-event chunk): the drift clock restarts at a fresh surface.
     kdv.rescatter(wpts)
     np.testing.assert_array_equal(
-        kdv.accumulator.surface(0),
-        KDVAccumulator(BBOX, SIZE, BANDWIDTH).add(wpts).surface(0),
+        kdv.surface(0),
+        StreamingKDV(BBOX, SIZE, BANDWIDTH).add(wpts).surface(0),
     )
 
 

@@ -492,49 +492,6 @@ register_deprecation(
     )
 )
 
-# The per-module scatter loops superseded by repro.core.scatter.  The
-# functions themselves were deleted; registering them keeps RPR014
-# flagging any straggler that reintroduces or re-imports one.
-register_deprecation(
-    Deprecation(
-        kind="function",
-        qualname="repro.core.kdv.streaming.MultiSurfaceAccumulator._scatter",
-        replacement="repro.core.scatter.PatchScatter.scatter",
-        since="PR 7 (scatter core)",
-    )
-)
-register_deprecation(
-    Deprecation(
-        kind="function",
-        qualname="repro.core.nkdv._scatter_event",
-        replacement="repro.core.scatter.scatter_line",
-        since="PR 7 (scatter core)",
-    )
-)
-register_deprecation(
-    Deprecation(
-        kind="function",
-        qualname="repro.core.nkdv._scatter_event_split",
-        replacement="repro.core.scatter.scatter_line",
-        since="PR 7 (scatter core)",
-    )
-)
-
-# Recompute-per-refresh sliding-window bookkeeping around a raw
-# KDVAccumulator is superseded by the streaming engine, which owns the
-# window, the drift policy and the dirty-tile ledger.  The accumulator
-# itself remains the engine's substrate (reached via relative imports,
-# which RPR014 does not flag); new *call sites* should go through
-# repro.stream.
-register_deprecation(
-    Deprecation(
-        kind="function",
-        qualname="repro.core.kdv.streaming.KDVAccumulator",
-        replacement="repro.stream.StreamingKDV",
-        since="PR 9 (streaming engine)",
-    )
-)
-
 # The positional per-method KDV entry points (kde_gridcut(problem, tail,
 # dtype) and friends) are superseded by the unified keyword surface of
 # kde_grid(method=...) / KDVRequest — one signature the planner, the

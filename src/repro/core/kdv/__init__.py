@@ -20,14 +20,11 @@ from .planner import (
     plan_kdv,
 )
 from .sampling import kde_sampling, sample_size
-from .streaming import KDVAccumulator, MultiSurfaceAccumulator
 from .sweep import kde_sweep
 
 __all__ = [
     "CostModel",
-    "KDVAccumulator",
     "KDVPlan",
-    "MultiSurfaceAccumulator",
     "KDVProblem",
     "RefinementStats",
     "calibrate",

@@ -96,7 +96,7 @@ class PatchScatter:
 
     ``scatter`` accumulates into a caller-owned ``(nx, ny)`` or
     ``(S, nx, ny)`` array; signed weights make removal the same operation
-    as insertion, which is what the streaming accumulator and the
+    as insertion, which is what the maintained streaming surface and the
     temporal-sharing STKDV backend build on.
     """
 
@@ -146,25 +146,22 @@ class PatchScatter:
 
         Vectorised, but element-for-element the same arithmetic as the
         historical per-point loop, so the windows (and everything
-        downstream) are bit-identical to it.
+        downstream) are bit-identical to it.  The float bounds are
+        clipped to ``[-1, n]`` before the integer cast: a huge cutoff
+        radius would otherwise overflow int64 and wrap to an empty window.
         """
-        px = points[:, 0]
-        py = points[:, 1]
         radius = self.radius
-        ix_lo = np.maximum(
-            np.ceil((px - radius - self._xs[0]) / self._dx).astype(np.int64), 0
-        )
-        ix_hi = np.minimum(
-            np.floor((px + radius - self._xs[0]) / self._dx).astype(np.int64),
-            self.nx - 1,
-        )
-        iy_lo = np.maximum(
-            np.ceil((py - radius - self._ys[0]) / self._dy).astype(np.int64), 0
-        )
-        iy_hi = np.minimum(
-            np.floor((py + radius - self._ys[0]) / self._dy).astype(np.int64),
-            self.ny - 1,
-        )
+
+        def index(lo, hi, origin, step, n):
+            lo = np.clip(np.ceil((lo - origin) / step), -1, n)
+            hi = np.clip(np.floor((hi - origin) / step), -1, n)
+            return (np.maximum(lo.astype(np.int64), 0),
+                    np.minimum(hi.astype(np.int64), n - 1))
+
+        ix_lo, ix_hi = index(points[:, 0] - radius, points[:, 0] + radius,
+                             self._xs[0], self._dx, self.nx)
+        iy_lo, iy_hi = index(points[:, 1] - radius, points[:, 1] + radius,
+                             self._ys[0], self._dy, self.ny)
         return ix_lo, ix_hi, iy_lo, iy_hi
 
     def scatter(self, values: np.ndarray, points, weights=None) -> tuple[int, int]:

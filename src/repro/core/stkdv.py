@@ -56,7 +56,7 @@ from ..raster import DensityGrid
 from .kdv.base import KDVProblem
 from .kdv.gridcut import kde_gridcut
 from .kdv.naive import kde_naive
-from .kdv.streaming import MultiSurfaceAccumulator
+from .kdv.streaming import StreamingKDV
 from .kdv.sweep import kde_sweep
 from .kernels import Kernel, get_kernel, temporal_expansion_matrix
 from .scatter import resolve_dtype
@@ -95,7 +95,7 @@ class STKDVResult:
 
         The copy means mutating the returned grid's ``values`` can never
         corrupt the stack (or vice versa), matching
-        :meth:`repro.core.kdv.KDVAccumulator.grid`.
+        :meth:`repro.stream.StreamingKDV.snapshot`.
         """
         return DensityGrid(self.bbox, self.values[:, :, j].copy())
 
@@ -191,7 +191,7 @@ def _shared_frames(
     """
     nx, ny = size
     n_moments = expansion.shape[0]
-    acc = MultiSurfaceAccumulator(
+    acc = StreamingKDV(
         bbox, size, b_s, kernel=k_s, n_surfaces=n_moments, dtype=dtype
     )
     order = np.argsort(frames, kind="stable")
@@ -242,7 +242,7 @@ def _shared_frames(
         alpha = expansion @ (tau ** np.arange(n_moments))
         # Cancellation in the moment combination can leave tiny negative
         # residue where the true density is ~0; clip it like the streaming
-        # accumulator does.
+        # surface does.
         # combine() runs in float64 (the factors are f64); fold back to
         # the bank's dtype — a no-op in the default float64 mode.
         out[j] = np.maximum(acc.combine(alpha), 0.0).astype(dtype, copy=False)

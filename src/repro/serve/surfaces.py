@@ -1,6 +1,6 @@
 """Streaming-maintained KDV surfaces aligned to the serving tile lattice.
 
-Each :class:`MaintainedSurface` wraps one :class:`repro.stream.StreamingKDV`
+Each :class:`MaintainedSurface` is a :class:`repro.stream.StreamingKDV`
 whose raster is ``tile_px * 2**zoom`` pixels square with a dirty-tile
 ledger of exactly ``tile_px``-pixel tiles — so the ledger lattice **is**
 the serving tile lattice, and "tile ``(tx, ty)`` is dirty" translates
@@ -10,10 +10,9 @@ touches the kernel patches of its new events only, the ledger compares
 those candidate tiles pixel-for-pixel, and the service evicts exactly
 the tiles that changed while the rest of the cached pyramid stays warm.
 
-Surfaces are additions-only consumers (the serving dataset is
-append-only), so the accumulator's insert/remove drift never grows and
-the re-scatter escape hatch stays dormant; ``rescatter_ratio=None``
-makes that explicit.
+Surfaces are additions-only (the serving dataset is append-only), so the
+insert/remove drift never grows and the re-scatter escape hatch stays
+dormant; ``rescatter_ratio=None`` makes that explicit.
 """
 
 from __future__ import annotations
@@ -24,17 +23,13 @@ import numpy as np
 
 from ..errors import ParameterError, ServeError
 from ..geometry import BoundingBox
-from ..raster import DensityGrid
-from ..stream import StreamDelta, StreamingKDV
+from ..stream import StreamingKDV
 
 __all__ = ["MaintainedSurface"]
 
-_EMPTY_POINTS = np.empty((0, 2), dtype=np.float64)
-_EMPTY_TIMES = np.empty(0, dtype=np.float64)
 
-
-class MaintainedSurface:
-    """One dataset's KDV pyramid level, kept current by ingest deltas.
+class MaintainedSurface(StreamingKDV):
+    """One dataset's KDV pyramid level, kept current by ingest syncs.
 
     Parameters
     ----------
@@ -44,11 +39,9 @@ class MaintainedSurface:
     zoom:
         Pyramid level; the raster is ``tile_px * 2**zoom`` square and the
         tile lattice is ``2**zoom x 2**zoom``.
-    bandwidth, kernel, dtype:
-        KDV parameters, fixed for the surface's lifetime — the service
-        keys surfaces by them.
-    workers, backend:
-        Forwarded to the streaming KDV for its (dormant) re-scatter path.
+    bandwidth, kernel, dtype, workers, backend:
+        :class:`~repro.stream.StreamingKDV` parameters, fixed for the
+        surface's lifetime — the service keys surfaces by them.
     """
 
     def __init__(self, dataset, zoom: int, bandwidth: float,
@@ -61,33 +54,15 @@ class MaintainedSurface:
         tile_px = int(tile_px)
         if tile_px < 1:
             raise ParameterError(f"tile_px must be positive, got {tile_px}")
-        self.zoom = zoom
-        self.tile_px = tile_px
         npx = tile_px * (2 ** zoom)
-        self._kdv = StreamingKDV(
+        super().__init__(
             dataset.bbox, (npx, npx), bandwidth, kernel=kernel,
-            tile=tile_px, rescatter_ratio=None,
-            dtype=np.float64 if dtype is None else dtype,
+            tile=tile_px, rescatter_ratio=None, dtype=dtype,
             workers=workers, backend=backend,
         )
+        self.zoom = zoom
         self._lock = threading.Lock()
-        self._scattered = 0  # dataset points already on the surface
-        self._version = -1   # dataset version last synced (-1 = never)
-
-    @property
-    def npx(self) -> int:
-        """Raster side length in pixels (``tile_px * 2**zoom``)."""
-        return self._kdv.nx
-
-    @property
-    def tiles_per_side(self) -> int:
-        """Tile lattice side length (``2**zoom``)."""
-        return self._kdv.ledger.tiles_nx
-
-    @property
-    def bandwidth(self) -> float:
-        """The fixed KDV bandwidth of this surface."""
-        return self._kdv.bandwidth
+        self._version = -1  # dataset version last synced (-1 = never)
 
     def sync(self, dataset) -> tuple[tuple[int, int], ...]:
         """Scatter any dataset points this surface has not seen yet.
@@ -102,41 +77,27 @@ class MaintainedSurface:
         with self._lock:
             if dataset.version == self._version:
                 return ()
-            new_pts, new_ts = dataset.points_since(self._scattered)
-            delta = StreamDelta(
-                entered_points=np.asarray(new_pts, dtype=np.float64),
-                entered_times=np.asarray(new_ts, dtype=np.float64),
-                left_points=_EMPTY_POINTS,
-                left_times=_EMPTY_TIMES,
-                window=dataset,
-            )
-            self._kdv.apply(delta)
-            self._scattered += int(new_pts.shape[0])
+            new_pts, _ = dataset.points_since(self.n_points)
+            self.add(new_pts)
             self._version = dataset.version
-            ledger = self._kdv.ledger
-            dirty = ledger.dirty_tiles()
-            ledger.clear_dirty()
+            dirty = self.ledger.dirty_tiles()
+            self.ledger.clear_dirty()
             return dirty
 
     def tile_bounds_px(self, tx: int, ty: int) -> tuple[int, int, int, int]:
         """Pixel bounds of tile ``(tx, ty)``; bad addresses raise 404s."""
-        ledger = self._kdv.ledger
-        if not (0 <= tx < ledger.tiles_nx and 0 <= ty < ledger.tiles_ny):
-            raise ServeError(
-                f"tile ({tx}, {ty}) outside the "
-                f"{ledger.tiles_nx}x{ledger.tiles_ny} lattice at zoom "
-                f"{self.zoom}"
-            )
-        return ledger.bounds(tx, ty)
+        try:
+            return self.ledger.bounds(tx, ty)
+        except ParameterError as exc:
+            raise ServeError(f"{exc} at zoom {self.zoom}") from None
 
     def tile_bbox(self, tx: int, ty: int) -> BoundingBox:
         """Geographic extent of tile ``(tx, ty)``."""
         x0, x1, y0, y1 = self.tile_bounds_px(tx, ty)
-        bbox = self._kdv.bbox
-        dx, dy = bbox.pixel_size(self._kdv.nx, self._kdv.ny)
+        dx, dy = self.bbox.pixel_size(self.nx, self.ny)
         return BoundingBox(
-            bbox.xmin + x0 * dx, bbox.ymin + y0 * dy,
-            bbox.xmin + x1 * dx, bbox.ymin + y1 * dy,
+            self.bbox.xmin + x0 * dx, self.bbox.ymin + y0 * dy,
+            self.bbox.xmin + x1 * dx, self.bbox.ymin + y1 * dy,
         )
 
     def tile_values(self, tx: int, ty: int) -> np.ndarray:
@@ -148,20 +109,4 @@ class MaintainedSurface:
         """
         x0, x1, y0, y1 = self.tile_bounds_px(tx, ty)
         with self._lock:
-            view = self._kdv.accumulator.surface_view(0)
-            return np.maximum(view[x0:x1, y0:y1], 0.0)
-
-    def tile_grid(self, tx: int, ty: int) -> DensityGrid:
-        """Tile ``(tx, ty)`` as a standalone :class:`DensityGrid`."""
-        return DensityGrid(self.tile_bbox(tx, ty), self.tile_values(tx, ty))
-
-    def grid(self) -> DensityGrid:
-        """The full surface as a :class:`DensityGrid` (diagnostics attached)."""
-        with self._lock:
-            return self._kdv.snapshot()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"MaintainedSurface(zoom={self.zoom}, {self.npx}px, "
-            f"b={self.bandwidth:g}, synced_version={self._version})"
-        )
+            return np.maximum(self._values[0, x0:x1, y0:y1], 0.0)

@@ -23,8 +23,8 @@ drift tolerance of a fresh scatter (and is rebuilt — in parallel,
 deterministically — when cancellation pressure crosses the policy ratio).
 """
 
+from ..core.kdv.streaming import DirtyTileLedger, StreamingKDV
 from .hotspot import StreamingHotspot
-from .kdv import DirtyTileLedger, StreamingKDV
 from .kfunction import StreamingKFunction, StreamKSnapshot
 from .window import StreamDelta, StreamEngine, StreamWindow
 

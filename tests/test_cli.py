@@ -371,11 +371,12 @@ class TestTraceFlag:
         assert code == 0
         assert "kfunction.simulations = 5" in capsys.readouterr().out
 
-    def test_stkdv_trace(self, st_events_csv, capsys):
+    def test_stkdv_trace(self, st_events_csv, tmp_path, capsys):
         code = main(
             ["stkdv", str(st_events_csv), "--bandwidth-space", "1.5",
              "--bandwidth-time", "20", "--frames", "2",
-             "--size", "16x12", "--trace"]
+             "--size", "16x12", "--out-prefix", str(tmp_path / "frame"),
+             "--trace"]
         )
         assert code == 0
         assert "stkdv.points" in capsys.readouterr().out

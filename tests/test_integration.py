@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import repro
-from repro.core.kdv import KDVAccumulator
 from repro.core.nkdv import nkdv
 from repro.data import (
     hawkes_st,
@@ -14,6 +13,7 @@ from repro.data import (
     write_csv,
 )
 from repro.network import grid_network
+from repro.stream import StreamingKDV
 
 
 class TestCsvToHotspotWorkflow:
@@ -102,12 +102,12 @@ class TestEpidemicWorkflow:
         )
         assert plot.observed.shape == (2, 2)
 
-        acc = KDVAccumulator(bbox, (32, 32), bandwidth=1.0)
+        acc = StreamingKDV(bbox, (32, 32), bandwidth=1.0)
         half = int(np.searchsorted(times, 30.0))
         acc.add(pts[:half])
-        first_grid = acc.grid()
+        first_grid = acc.snapshot()
         acc.add(pts[half:]).remove(pts[:half])
-        second_grid = acc.grid()
+        second_grid = acc.snapshot()
         assert acc.n_points == pts.shape[0] - half
         # The two windows describe different epochs of the epidemic.
         assert first_grid.values.sum() != pytest.approx(second_grid.values.sum())

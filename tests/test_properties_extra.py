@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.core.autocorrelation import fdr_mask
-from repro.core.kdv import KDVAccumulator, KDVProblem, kde_dualtree, kde_gridcut, kde_naive
+from repro.core.kdv import KDVProblem, kde_dualtree, kde_gridcut, kde_naive
 from repro.core.kfunction import cross_k_function
 from repro.geometry import BoundingBox, Polygon
 from repro.index import RangeTree
 from repro.network import RoadNetwork, node_distances
+from repro.stream import StreamingKDV
 
 coord = st.floats(min_value=-30.0, max_value=30.0, allow_nan=False, width=64)
 points_strategy = arrays(
@@ -65,27 +66,27 @@ class TestAccumulatorProperties:
         """add(all) then remove(first k) == batch KDV of the suffix."""
         k = min(k, pts.shape[0])
         bbox = BoundingBox(-30.0, -30.0, 30.0, 30.0)
-        acc = KDVAccumulator(bbox, (10, 8), 4.0, kernel="epanechnikov")
+        acc = StreamingKDV(bbox, (10, 8), 4.0, kernel="epanechnikov")
         acc.add(pts)
         acc.remove(pts[:k])
         suffix = pts[k:]
         if suffix.shape[0] == 0:
-            assert acc.grid().max == 0.0
+            assert acc.snapshot().max == 0.0
             return
         batch = kde_gridcut(
             KDVProblem(suffix, bbox, (10, 8), 4.0, "epanechnikov")
         )
-        assert acc.grid().max_abs_difference(batch) < 1e-8 * max(batch.max, 1.0)
+        assert acc.snapshot().max_abs_difference(batch) < 1e-8 * max(batch.max, 1.0)
 
     @given(points_strategy)
     @settings(max_examples=30, deadline=None)
     def test_order_of_addition_irrelevant(self, pts):
         bbox = BoundingBox(-30.0, -30.0, 30.0, 30.0)
-        a = KDVAccumulator(bbox, (8, 8), 5.0)
-        b = KDVAccumulator(bbox, (8, 8), 5.0)
+        a = StreamingKDV(bbox, (8, 8), 5.0)
+        b = StreamingKDV(bbox, (8, 8), 5.0)
         a.add(pts)
         b.add(pts[::-1])
-        assert a.grid().max_abs_difference(b.grid()) < 1e-9 * max(a.grid().max, 1.0)
+        assert a.snapshot().max_abs_difference(b.snapshot()) < 1e-9 * max(a.snapshot().max, 1.0)
 
 
 class TestDualTreeProperty:

@@ -2,7 +2,7 @@
 
 The float64 contract is *bit-identity*: ``PatchScatter.scatter`` must
 reproduce the historical per-point scatter loop (copied verbatim below
-from the pre-refactor ``MultiSurfaceAccumulator._scatter``) to the last
+from the pre-refactor multi-surface accumulator) to the last
 bit, for every kernel, weighting mode, and boundary case — that is what
 lets the worker-invariance and shared-STKDV equivalence contracts survive
 the refactor unchanged.  The float32 contract is the published bounded
@@ -10,12 +10,14 @@ error ``|err| <= eps_rel * max + eps_abs`` with
 ``eps_abs = table.max_abs_error * sum|w|`` and ``eps_rel = 1e-5``.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.kdv import KDVAccumulator, KDVProblem, kde_dualtree, kde_grid, kde_naive
+from repro.core.kdv import KDVProblem, kde_dualtree, kde_grid, kde_naive
 from repro.core.kdv.base import effective_radius
 from repro.core.kernels import KERNELS, build_kernel_table, get_kernel
 from repro.core.scatter import (
@@ -27,6 +29,7 @@ from repro.core.scatter import (
 from repro.core.stkdv import stkdv
 from repro.errors import ParameterError
 from repro.geometry import BoundingBox
+from repro.stream import StreamingKDV
 
 BBOX = BoundingBox(0.0, 0.0, 10.0, 8.0)
 
@@ -35,7 +38,7 @@ def legacy_scatter(values, points, weights, bbox, size, bandwidth, kernel,
                    tail=1e-12):
     """The pre-refactor per-point scatter loop, verbatim.
 
-    This is the deleted ``MultiSurfaceAccumulator._scatter`` (the
+    This is the deleted multi-surface accumulator loop (the
     ``kde_gridcut`` loop was the single-surface special case of the same
     code); it is the reference the float64 mode must match bit-for-bit.
     """
@@ -191,14 +194,14 @@ class TestFloat64BitIdentity:
 
         # From an empty surface, add+remove of the same batch is exact:
         # 0 + p is bitwise p, and p - p is bitwise 0 for every patch pixel.
-        empty = KDVAccumulator(BBOX, (20, 20), 1.2)
+        empty = StreamingKDV(BBOX, (20, 20), 1.2)
         empty.add(second).remove(second)
         assert np.array_equal(empty.surface(0), np.zeros((20, 20)))
 
         # With prior mass the round trip only rounds in the last ulp
         # ((a + p) - p need not equal a in floats) — same behaviour as the
         # historical per-point loop, so a tight allclose is the contract.
-        acc = KDVAccumulator(BBOX, (20, 20), 1.2)
+        acc = StreamingKDV(BBOX, (20, 20), 1.2)
         acc.add(first).add(second).remove(second)
         ref = legacy_scatter(
             np.zeros((1, 20, 20)), first, np.ones((40, 1)), BBOX, (20, 20),
@@ -338,6 +341,24 @@ class TestNaiveBoundaryRegression:
         got = kde_grid(pts, bbox, (16, 12), 1.0, kernel="uniform",
                        method=method)
         assert np.array_equal(got.values, ref.values)
+
+
+class TestHugeBandwidthRegression:
+    @pytest.mark.parametrize("bandwidth", [1e18, 1e19, 1e20, 1e300])
+    def test_scatter_windows_match_naive(self, bandwidth):
+        # A cutoff radius past the int64 range used to wrap the patch
+        # window bounds to an empty window, so the grid backend and the
+        # maintained surface silently returned an all-zero KDV.
+        bbox = BoundingBox(0.0, 0.0, 10.0, 10.0)
+        pts = np.random.default_rng(5).uniform(0.0, 10.0, (50, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            ref = kde_grid(pts, bbox, (16, 16), bandwidth, method="naive")
+            grid = kde_grid(pts, bbox, (16, 16), bandwidth, method="grid")
+            kdv = StreamingKDV(bbox, (16, 16), bandwidth).add(pts)
+        assert ref.max == pytest.approx(50.0)
+        np.testing.assert_allclose(grid.values, ref.values, rtol=1e-12)
+        np.testing.assert_allclose(kdv.surface(0), ref.values, rtol=1e-12)
 
 
 class TestDualTreeThroughCore:

@@ -288,7 +288,7 @@ class TestServiceTiles:
         dataset = service.store.get("d")
         surface = service._surface(dataset, 1, 0.8, "quartic", None)
         surface.sync(dataset)
-        grid = surface.grid()
+        grid = surface.snapshot()
         stitched = np.empty_like(grid.values)
         px = 32
         for ty in range(2):

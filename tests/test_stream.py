@@ -17,12 +17,12 @@ from hypothesis import strategies as st
 
 import repro
 from repro.core.autocorrelation import local_gi_star
-from repro.core.kdv import KDVAccumulator
 from repro.core.kfunction import ripley_k
 from repro.data import hawkes_stream
 from repro.errors import DataError, ParameterError
 from repro.stream import (
     DirtyTileLedger,
+    StreamDelta,
     StreamEngine,
     StreamingHotspot,
     StreamingKDV,
@@ -127,9 +127,9 @@ class TestStreamingKDVEqualsBatch:
         eng.register("kdv", kdv)
         for c0 in range(0, 2000, 100):
             eng.push(pts[c0:c0 + 100], ts[c0:c0 + 100])
-        fresh = KDVAccumulator(BBOX, (96, 64), 1.5).add(eng.window.points)
-        diff = np.abs(kdv.accumulator.surface(0) - fresh.surface(0)).max()
-        assert diff <= kdv.accumulator.drift_tolerance
+        fresh = StreamingKDV(BBOX, (96, 64), 1.5).add(eng.window.points)
+        diff = np.abs(kdv.surface(0) - fresh.surface(0)).max()
+        assert diff <= kdv.drift_tolerance
 
     def test_drift_policy_triggers_rescatter_and_restores_identity(self):
         pts, ts = feed(1500)
@@ -140,13 +140,13 @@ class TestStreamingKDVEqualsBatch:
         for c0 in range(0, 1500, 100):
             eng.push(pts[c0:c0 + 100], ts[c0:c0 + 100])
         assert kdv.rescatters > 0
-        assert kdv.accumulator.drift_ratio < 2.0
+        assert kdv.drift_ratio < 2.0
         # The window (300 events) fits a single rescatter chunk, so the
         # most recent rebuild is bit-identical to a fresh serial add --
         # drift since then is only the post-rescatter pushes.
-        fresh = KDVAccumulator(BBOX, (64, 48), 1.5).add(eng.window.points)
-        diff = np.abs(kdv.accumulator.surface(0) - fresh.surface(0)).max()
-        assert diff <= kdv.accumulator.drift_tolerance
+        fresh = StreamingKDV(BBOX, (64, 48), 1.5).add(eng.window.points)
+        diff = np.abs(kdv.surface(0) - fresh.surface(0)).max()
+        assert diff <= kdv.drift_tolerance
 
     def test_snapshot_diagnostics_and_staleness(self):
         pts, ts = feed(300)
@@ -173,19 +173,32 @@ class TestDirtyTileLedger:
         eng.register("kdv", kdv)
         eng.push(pts[:400], ts[:400])
         kdv.snapshot()  # clears the ledger
-        before = kdv.accumulator.surface(0)
-        eng.push(pts[400:900], ts[400:900])
-        after = kdv.accumulator.surface(0)
-        mask = kdv.ledger.mask
-        ledger = kdv.ledger
-        changed = before != after
-        for tx in range(ledger.tiles_nx):
-            for ty in range(ledger.tiles_ny):
-                x0, x1, y0, y1 = ledger.bounds(tx, ty)
-                assert mask[tx, ty] == bool(changed[x0:x1, y0:y1].any()), (
-                    f"tile ({tx}, {ty}): ledger={mask[tx, ty]}, "
-                    f"surface diff={bool(changed[x0:x1, y0:y1].any())}"
-                )
+
+        def check(update):
+            before = kdv.surface(0)
+            update()
+            changed = before != kdv.surface(0)
+            mask = kdv.ledger.take()
+            ledger = kdv.ledger
+            for tx in range(ledger.tiles_nx):
+                for ty in range(ledger.tiles_ny):
+                    x0, x1, y0, y1 = ledger.bounds(tx, ty)
+                    assert mask[tx, ty] == bool(changed[x0:x1, y0:y1].any()), (
+                        f"tile ({tx}, {ty}): ledger={mask[tx, ty]}, "
+                        f"surface diff={bool(changed[x0:x1, y0:y1].any())}"
+                    )
+
+        def expire(p, t):
+            return lambda: kdv.apply(StreamDelta(p[:0], t[:0], p, t, eng.window))
+
+        check(lambda: eng.push(pts[400:900], ts[400:900]))
+        # Expire all but five events, then drain those: emptying the
+        # surface snaps it to zero, which also clears the rounding residue
+        # the earlier removals left outside the last five events' patches.
+        live, times = eng.window.points, eng.window.times
+        check(expire(live[:-5], times[:-5]))
+        check(expire(live[-5:], times[-5:]))
+        assert kdv.n_points == 0
 
     def test_exactness_survives_rescatter(self):
         pts, ts = feed(1200, seed=13)
@@ -194,11 +207,11 @@ class TestDirtyTileLedger:
         eng.register("kdv", kdv)
         eng.push(pts[:300], ts[:300])
         kdv.snapshot()
-        before = kdv.accumulator.surface(0)
+        before = kdv.surface(0)
         for c0 in range(300, 1200, 100):
             eng.push(pts[c0:c0 + 100], ts[c0:c0 + 100])
         assert kdv.rescatters > 0
-        after = kdv.accumulator.surface(0)
+        after = kdv.surface(0)
         mask = kdv.ledger.mask
         changed = before != after
         ledger = kdv.ledger
@@ -314,7 +327,7 @@ class TestDeterminism:
             for c0 in range(0, 1500, 100):
                 eng.push(pts[c0:c0 + 100], ts[c0:c0 + 100])
             assert kdv.rescatters > 0
-            surfaces.append(kdv.accumulator.surface(0))
+            surfaces.append(kdv.surface(0))
         np.testing.assert_array_equal(surfaces[0], surfaces[1])
 
     def test_parallel_rescatter_bit_identical_across_workers(self):
@@ -322,17 +335,18 @@ class TestDeterminism:
         w = np.ones((9000, 1))
         banks = []
         for workers in (1, 2):
-            acc = KDVAccumulator(BBOX, (64, 48), 1.5)
-            acc.rescatter(pts, w, workers=workers, backend="thread")
+            acc = StreamingKDV(BBOX, (64, 48), 1.5, workers=workers,
+                               backend="thread")
+            acc.rescatter(pts, w)
             banks.append(acc.surface(0))
         np.testing.assert_array_equal(banks[0], banks[1])
 
     def test_single_chunk_rescatter_equals_fresh_add(self):
         pts, _ = feed(800, seed=25)
-        acc = KDVAccumulator(BBOX, (64, 48), 1.5)
+        acc = StreamingKDV(BBOX, (64, 48), 1.5)
         acc.add(pts[:500]).remove(pts[:200])
         acc.rescatter(pts[200:500], np.ones((300, 1)))
-        fresh = KDVAccumulator(BBOX, (64, 48), 1.5).add(pts[200:500])
+        fresh = StreamingKDV(BBOX, (64, 48), 1.5).add(pts[200:500])
         np.testing.assert_array_equal(acc.surface(0), fresh.surface(0))
 
 

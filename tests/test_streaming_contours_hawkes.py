@@ -1,50 +1,49 @@
-"""Tests for the streaming accumulator, contour extraction, and Hawkes data."""
+"""Tests for the maintained KDV surface, contour extraction, and Hawkes data."""
 
 import numpy as np
 import pytest
 
-from repro.core.kdv import (
-    KDVAccumulator,
-    KDVProblem,
-    MultiSurfaceAccumulator,
-    kde_gridcut,
-)
+from repro.core.kdv import KDVProblem, kde_gridcut
 from repro.data import hawkes_st
 from repro.errors import DataError, ParameterError
 from repro.geometry import BoundingBox
 from repro.raster import DensityGrid, contour_polylines, contour_segments
+from repro.stream import StreamingKDV
 
 
 class TestKDVAccumulator:
+    """Unit-weight :class:`StreamingKDV` events (class name kept so the
+    test ids stay stable)."""
+
     SIZE = (24, 16)
 
     def test_add_matches_batch(self, clustered_points, bbox):
-        acc = KDVAccumulator(bbox, self.SIZE, 1.5)
+        acc = StreamingKDV(bbox, self.SIZE, 1.5)
         acc.add(clustered_points)
         batch = kde_gridcut(KDVProblem(clustered_points, bbox, self.SIZE, 1.5, "quartic"))
-        assert acc.grid().max_abs_difference(batch) < 1e-10 * max(batch.max, 1.0)
+        assert acc.snapshot().max_abs_difference(batch) < 1e-10 * max(batch.max, 1.0)
 
     def test_incremental_adds_match(self, clustered_points, bbox):
-        acc = KDVAccumulator(bbox, self.SIZE, 1.5)
+        acc = StreamingKDV(bbox, self.SIZE, 1.5)
         half = clustered_points.shape[0] // 2
         acc.add(clustered_points[:half]).add(clustered_points[half:])
         batch = kde_gridcut(KDVProblem(clustered_points, bbox, self.SIZE, 1.5, "quartic"))
-        assert acc.grid().max_abs_difference(batch) < 1e-9 * max(batch.max, 1.0)
+        assert acc.snapshot().max_abs_difference(batch) < 1e-9 * max(batch.max, 1.0)
 
     def test_remove_undoes_add(self, clustered_points, bbox):
-        acc = KDVAccumulator(bbox, self.SIZE, 1.5)
+        acc = StreamingKDV(bbox, self.SIZE, 1.5)
         keep = clustered_points[:300]
         extra = clustered_points[300:]
         acc.add(clustered_points)
         acc.remove(extra)
         batch = kde_gridcut(KDVProblem(keep, bbox, self.SIZE, 1.5, "quartic"))
-        assert acc.grid().max_abs_difference(batch) < 1e-8 * max(batch.max, 1.0)
+        assert acc.snapshot().max_abs_difference(batch) < 1e-8 * max(batch.max, 1.0)
         assert acc.n_points == 300
 
     def test_sliding_window_equivalence(self, bbox, rng):
         """Window [t-w, t] maintained by add/remove equals the batch KDV."""
         pts = bbox.sample_uniform(200, rng)
-        acc = KDVAccumulator(bbox, self.SIZE, 2.0, kernel="epanechnikov")
+        acc = StreamingKDV(bbox, self.SIZE, 2.0, kernel="epanechnikov")
         acc.add(pts[:120])
         acc.remove(pts[:40])
         acc.add(pts[120:])
@@ -52,40 +51,43 @@ class TestKDVAccumulator:
         batch = kde_gridcut(
             KDVProblem(window, bbox, self.SIZE, 2.0, "epanechnikov")
         )
-        assert acc.grid().max_abs_difference(batch) < 1e-9 * max(batch.max, 1.0)
+        assert acc.snapshot().max_abs_difference(batch) < 1e-9 * max(batch.max, 1.0)
 
     def test_remove_to_empty_is_clean(self, small_points, bbox):
-        acc = KDVAccumulator(bbox, self.SIZE, 1.0)
+        acc = StreamingKDV(bbox, self.SIZE, 1.0)
         acc.add(small_points).remove(small_points)
         assert acc.n_points == 0
-        assert acc.grid().max == 0.0
+        assert acc.snapshot().max == 0.0
 
     def test_cannot_remove_more_than_present(self, small_points, bbox):
-        acc = KDVAccumulator(bbox, self.SIZE, 1.0)
+        acc = StreamingKDV(bbox, self.SIZE, 1.0)
         acc.add(small_points[:5])
         with pytest.raises(ParameterError, match="remove"):
             acc.remove(small_points)
 
     def test_grid_is_copy(self, small_points, bbox):
-        acc = KDVAccumulator(bbox, self.SIZE, 1.0)
+        acc = StreamingKDV(bbox, self.SIZE, 1.0)
         acc.add(small_points)
-        grid = acc.grid()
+        grid = acc.snapshot()
         acc.add(small_points)
-        assert acc.grid().values.sum() > grid.values.sum()
+        assert acc.snapshot().values.sum() > grid.values.sum()
 
     def test_gaussian_kernel_supported(self, small_points, bbox):
-        acc = KDVAccumulator(bbox, self.SIZE, 1.0, kernel="gaussian")
+        acc = StreamingKDV(bbox, self.SIZE, 1.0, kernel="gaussian")
         acc.add(small_points)
-        assert acc.grid().max > 0
+        assert acc.snapshot().max > 0
 
 
 class TestMultiSurfaceAccumulator:
+    """The weighted moment-bank operations of :class:`StreamingKDV`
+    (class name kept so the test ids stay stable)."""
+
     SIZE = (24, 16)
 
     def test_each_surface_matches_weighted_batch(self, clustered_points, bbox, rng):
         """Surface s equals a from-scratch weighted KDV with column s."""
         w = rng.uniform(0.1, 2.0, size=(clustered_points.shape[0], 3))
-        acc = MultiSurfaceAccumulator(bbox, self.SIZE, 1.5, n_surfaces=3)
+        acc = StreamingKDV(bbox, self.SIZE, 1.5, n_surfaces=3)
         acc.add_weighted(clustered_points, w)
         for s in range(3):
             batch = kde_gridcut(
@@ -97,7 +99,7 @@ class TestMultiSurfaceAccumulator:
 
     def test_remove_weighted_undoes_add(self, clustered_points, bbox, rng):
         w = rng.uniform(0.5, 2.0, size=(clustered_points.shape[0], 2))
-        acc = MultiSurfaceAccumulator(bbox, self.SIZE, 1.5, n_surfaces=2)
+        acc = StreamingKDV(bbox, self.SIZE, 1.5, n_surfaces=2)
         acc.add_weighted(clustered_points, w)
         acc.remove_weighted(clustered_points, w)
         assert acc.n_points == 0
@@ -106,7 +108,7 @@ class TestMultiSurfaceAccumulator:
 
     def test_combine_is_linear(self, small_points, bbox, rng):
         w = rng.uniform(-1.0, 1.0, size=(small_points.shape[0], 2))
-        acc = MultiSurfaceAccumulator(bbox, self.SIZE, 1.5, n_surfaces=2)
+        acc = StreamingKDV(bbox, self.SIZE, 1.5, n_surfaces=2)
         acc.add_weighted(small_points, w)
         combo = acc.combine([2.0, -0.5])
         np.testing.assert_allclose(
@@ -115,7 +117,7 @@ class TestMultiSurfaceAccumulator:
 
     def test_recombine_applies_linear_map(self, small_points, bbox, rng):
         w = rng.uniform(-1.0, 1.0, size=(small_points.shape[0], 2))
-        acc = MultiSurfaceAccumulator(bbox, self.SIZE, 1.5, n_surfaces=2)
+        acc = StreamingKDV(bbox, self.SIZE, 1.5, n_surfaces=2)
         acc.add_weighted(small_points, w)
         s0, s1 = acc.surface(0), acc.surface(1)
         acc.recombine([[1.0, 2.0], [0.0, -1.0]])
@@ -123,29 +125,29 @@ class TestMultiSurfaceAccumulator:
         np.testing.assert_allclose(acc.surface(1), -s1, atol=1e-12)
 
     def test_surface_is_copy(self, small_points, bbox):
-        acc = MultiSurfaceAccumulator(bbox, self.SIZE, 1.0)
+        acc = StreamingKDV(bbox, self.SIZE, 1.0)
         acc.add_weighted(small_points, np.ones((small_points.shape[0], 1)))
         snap = acc.surface(0)
         acc.add_weighted(small_points, np.ones((small_points.shape[0], 1)))
         assert acc.surface(0).sum() > snap.sum()
 
     def test_shape_and_index_validation(self, small_points, bbox):
-        acc = MultiSurfaceAccumulator(bbox, self.SIZE, 1.0, n_surfaces=2)
+        acc = StreamingKDV(bbox, self.SIZE, 1.0, n_surfaces=2)
         with pytest.raises(DataError, match="weights"):
-            acc.scatter(small_points, np.ones((small_points.shape[0], 3)))
+            acc.add_weighted(small_points, np.ones((small_points.shape[0], 3)))
         with pytest.raises(DataError, match="non-finite"):
-            acc.scatter(small_points,
+            acc.add_weighted(small_points,
                         np.full((small_points.shape[0], 2), np.nan))
         with pytest.raises(ParameterError, match="surface index"):
             acc.surface(2)
         with pytest.raises(ParameterError, match="n_surfaces"):
-            MultiSurfaceAccumulator(bbox, self.SIZE, 1.0, n_surfaces=0)
+            StreamingKDV(bbox, self.SIZE, 1.0, n_surfaces=0)
 
     def test_reset(self, small_points, bbox):
-        acc = KDVAccumulator(bbox, self.SIZE, 1.0)
+        acc = StreamingKDV(bbox, self.SIZE, 1.0)
         acc.add(small_points).reset()
         assert acc.n_points == 0
-        assert acc.grid().max == 0.0
+        assert acc.snapshot().max == 0.0
 
 
 class TestDriftRegression:
@@ -159,7 +161,7 @@ class TestDriftRegression:
         rng = np.random.default_rng(99)
         pts = rng.uniform([bbox.xmin, bbox.ymin], [bbox.xmax, bbox.ymax],
                           size=(window + cycles * batch, 2))
-        acc = KDVAccumulator(bbox, self.SIZE, 1.5, dtype=dtype)
+        acc = StreamingKDV(bbox, self.SIZE, 1.5, dtype=dtype)
         acc.add(pts[:window])
         lo = 0
         for c in range(cycles):
@@ -173,7 +175,7 @@ class TestDriftRegression:
     def test_f64_drift_within_published_tolerance(self, bbox):
         acc, live = self._churn(bbox, np.float64, cycles=2000)
         assert acc.n_points == live.shape[0]
-        fresh = KDVAccumulator(bbox, self.SIZE, 1.5).add(live)
+        fresh = StreamingKDV(bbox, self.SIZE, 1.5).add(live)
         diff = np.abs(acc.surface(0) - fresh.surface(0)).max()
         assert diff <= acc.drift_tolerance
         # The bound is meaningful, not vacuous: it certifies real digits.
@@ -181,7 +183,7 @@ class TestDriftRegression:
 
     def test_f32_drift_within_published_tolerance(self, bbox):
         acc, live = self._churn(bbox, np.float32, cycles=2000)
-        fresh = KDVAccumulator(bbox, self.SIZE, 1.5, dtype=np.float32).add(live)
+        fresh = StreamingKDV(bbox, self.SIZE, 1.5, dtype=np.float32).add(live)
         diff = np.abs(
             acc.surface(0).astype(np.float64)
             - fresh.surface(0).astype(np.float64)
@@ -189,7 +191,7 @@ class TestDriftRegression:
         assert diff <= acc.drift_tolerance
 
     def test_gross_net_accounting(self, bbox, small_points):
-        acc = KDVAccumulator(bbox, self.SIZE, 1.5)
+        acc = StreamingKDV(bbox, self.SIZE, 1.5)
         n = small_points.shape[0]
         acc.add(small_points)
         assert acc.gross_weight == pytest.approx(n)
@@ -201,7 +203,7 @@ class TestDriftRegression:
         assert acc.drift_ratio > 1.0
 
     def test_reset_clears_all_state(self, bbox, small_points):
-        acc = KDVAccumulator(bbox, self.SIZE, 1.5)
+        acc = StreamingKDV(bbox, self.SIZE, 1.5)
         acc.add(small_points).remove(small_points[:3])
         acc.reset()
         assert acc.n_points == 0
@@ -218,11 +220,11 @@ class TestDriftRegression:
         assert acc.n_points == live.shape[0]
         assert acc.drift_ratio == pytest.approx(1.0)
         assert acc.drift_tolerance < tol_before
-        fresh = KDVAccumulator(bbox, self.SIZE, 1.5).add(live)
+        fresh = StreamingKDV(bbox, self.SIZE, 1.5).add(live)
         np.testing.assert_array_equal(acc.surface(0), fresh.surface(0))
 
     def test_rescatter_validates_weights(self, bbox, small_points):
-        acc = KDVAccumulator(bbox, self.SIZE, 1.5)
+        acc = StreamingKDV(bbox, self.SIZE, 1.5)
         with pytest.raises(DataError, match="weights"):
             acc.rescatter(small_points, np.ones((small_points.shape[0], 2)))
         with pytest.raises(DataError, match="non-finite"):
@@ -230,8 +232,8 @@ class TestDriftRegression:
                           np.full((small_points.shape[0], 1), np.inf))
 
     def test_f32_tolerance_includes_table_term(self, bbox):
-        f64 = KDVAccumulator(bbox, self.SIZE, 1.5)
-        f32 = KDVAccumulator(bbox, self.SIZE, 1.5, dtype=np.float32)
+        f64 = StreamingKDV(bbox, self.SIZE, 1.5)
+        f32 = StreamingKDV(bbox, self.SIZE, 1.5, dtype=np.float32)
         pts = np.full((10, 2), 5.0)
         f64.add(pts)
         f32.add(pts)
